@@ -190,6 +190,12 @@ class Lasagne(GNNModel):
     def _is_node_bound(self) -> bool:
         return self.aggregator_kind in ("weighted", "stochastic")
 
+    @property
+    def supports_node_growth(self) -> bool:
+        # ``weighted`` / ``stochastic`` hold per-node C^(l) / P rows
+        # sized at attach; the other aggregators are inductive.
+        return not self._is_node_bound()
+
     def _build_node_aware(self, num_nodes: int) -> None:
         rng = np.random.default_rng(self._agg_seed)
         aggregators = nn.ModuleList()

@@ -43,7 +43,6 @@ from repro.graphs.partition import (
     khop_neighborhood,
     partition_graph,
 )
-from repro.perf.config import kernels_enabled
 from repro.tensor.sparse import SparseMatrix
 
 #: Default deepest power a plan supports (covers every stock model depth).
@@ -119,9 +118,6 @@ class Shard:
     reach: List[np.ndarray]
     blocks: List[sp.csr_matrix]
     signature: str
-    _block_kernels: Optional[list] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def max_power(self) -> int:
@@ -191,32 +187,17 @@ class Shard:
             for power in range(1, k + 1)
         ]
 
-    def _apply_block(self, j: int, dense: np.ndarray) -> np.ndarray:
-        """``blocks[j] @ dense`` — through the int32 tiled kernel when
-        ``perf_mode(kernels=True)`` is active (bitwise-identical)."""
-        if kernels_enabled() and dense.ndim == 2:
-            if self._block_kernels is None:
-                self._block_kernels = [None] * len(self.blocks)
-            kernel = self._block_kernels[j]
-            if kernel is None:
-                from repro.perf.kernels import CSRKernel
-
-                kernel = CSRKernel(self.blocks[j])
-                self._block_kernels[j] = kernel
-            return kernel.matmul(dense)
-        return self.blocks[j] @ dense
-
     def _propagate(self, features: np.ndarray, k: int) -> np.ndarray:
         result = np.ascontiguousarray(features[self.reach[k]])
         for j in range(k - 1, -1, -1):
-            result = self._apply_block(j, result)
+            result = self.blocks[j] @ result
         return result
 
     def _propagate_chain(self, features: np.ndarray, k: int) -> List[np.ndarray]:
         result = np.ascontiguousarray(features[self.reach[k]])
         owned: List[Optional[np.ndarray]] = [None] * k
         for j in range(k - 1, -1, -1):
-            result = self._apply_block(j, result)
+            result = self.blocks[j] @ result
             power = k - j
             if j == 0:
                 owned[power - 1] = result

@@ -51,6 +51,12 @@ class GNNModel(nn.Module):
     #: would cost more than it saves.
     supports_restricted_eval = False
 
+    #: Whether the attached model can follow its graph when nodes are
+    #: added.  The serving layer reads this before committing a
+    #: node-growing update, so a model whose parameters are sized by the
+    #: node count rejects the update instead of failing after the WAL.
+    supports_node_growth = True
+
     def __init__(self) -> None:
         super().__init__()
         self.graph: Optional[Graph] = None

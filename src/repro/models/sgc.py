@@ -14,6 +14,7 @@ import numpy as np
 from repro import nn
 from repro.graphs.graph import Graph
 from repro.models.base import GNNModel
+from repro.tensor.sparse import power_chain
 from repro.tensor.tensor import Tensor
 
 
@@ -46,25 +47,16 @@ class SGC(GNNModel):
             # bound, else the content-keyed global cache (a second SGC —
             # or a GCN with cached first-layer propagation — on an equal
             # graph view reuses the same Â^k X buffers).  Both are
-            # bitwise-identical to the dense loop below.
+            # bitwise-identical to the uncached chain below.
             cached = self._propagated_input(
                 self._norm_adj, self._features, k=self.k_hops
             )
             if cached is not None:
                 self._prop_cache[key] = cached
             else:
-                from repro.perf.config import kernels_enabled
-
-                if kernels_enabled() and self._features.data.ndim == 2:
-                    # Fused power chain: K tiled spmms, one pass.
-                    propagated = self._norm_adj.kernel.power_chain(
-                        self._features.data, self.k_hops
-                    )[-1]
-                else:
-                    propagated = self._features.data
-                    csr = self._norm_adj.csr
-                    for _ in range(self.k_hops):
-                        propagated = csr @ propagated
+                propagated = power_chain(
+                    self._norm_adj, self._features.data, self.k_hops
+                )[-1]
                 self._prop_cache[key] = Tensor(propagated)
         self._propagated = self._prop_cache[key]
 

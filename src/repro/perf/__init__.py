@@ -1,6 +1,6 @@
 """Performance layer: dtype policy switches, fused kernels, caching.
 
-Three cooperating pieces, all opt-in and all bit-transparent when off:
+Four cooperating pieces, all opt-in and all bit-transparent when off:
 
 - :mod:`repro.perf.config` — runtime switches (:func:`perf_mode`,
   :func:`configure`) that turn on the float32 construction policy, the
@@ -10,10 +10,6 @@ Three cooperating pieces, all opt-in and all bit-transparent when off:
   instances.
 - :mod:`repro.perf.fused` — single-tape-node spmm→bias→activation
   kernels with in-place accumulation.
-- :mod:`repro.perf.kernels` — int32-indexed row-tiled spmm, the fused
-  multi-power chain ``[Â X, …, Â^k X]``, and the int8-quantized serving
-  head (all behind ``perf_mode(kernels=True)`` /
-  ``configure(quantized_fallback=True)``).
 - :mod:`repro.perf.logitstore` — version-keyed memoization of
   full-graph inference logits (the serving fast path's warm store),
   LRU-bounded by entries *and* bytes.
@@ -26,26 +22,14 @@ drags in the training stack.
 from repro.perf.config import (
     configure,
     fused_enabled,
-    kernels_enabled,
     perf_mode,
     propagation_cache_enabled,
-    quantized_fallback_enabled,
     settings,
 )
 from repro.perf.fused import (
     fused_dense_layer,
     fused_gcn_layer,
     fused_spmm_bias_act,
-)
-from repro.perf.kernels import (
-    CSRKernel,
-    QuantizedHead,
-    compact_csr,
-    fused_power_chain,
-    fused_power_spmm,
-    tiled_spmm,
-    tiled_spmm_op,
-    widen_csr,
 )
 from repro.perf.logitstore import (
     LogitStore,
@@ -68,16 +52,6 @@ __all__ = [
     "settings",
     "fused_enabled",
     "propagation_cache_enabled",
-    "kernels_enabled",
-    "quantized_fallback_enabled",
-    "CSRKernel",
-    "QuantizedHead",
-    "compact_csr",
-    "widen_csr",
-    "tiled_spmm",
-    "tiled_spmm_op",
-    "fused_power_chain",
-    "fused_power_spmm",
     "PropagationCache",
     "LogitStore",
     "SharedLogitStore",

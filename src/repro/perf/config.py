@@ -1,6 +1,6 @@
 """Runtime switches for the performance layer.
 
-Five independent knobs, all off by default so the float64 reference
+Three independent knobs, all off by default so the float64 reference
 behaviour of the repository is untouched:
 
 - **dtype** — the construction dtype policy
@@ -11,17 +11,6 @@ behaviour of the repository is untouched:
 - **propagation cache** — models reuse memoized ``Â^k X`` products from
   :mod:`repro.perf.propcache` whenever the propagated operand is a
   constant of training.
-- **kernels** — spmm hot paths (``spmm``, the propagation cache walk,
-  the sharded block chains, SGC precompute) execute through the int32
-  tiled kernels of :mod:`repro.perf.kernels`.  Bitwise-identical to the
-  scipy reference at every dtype — the switch changes *which code* runs,
-  never the bits — so it is deliberately **not** part of any memoization
-  key.
-- **quantized fallback** — newly fitted serving fallback heads
-  (:class:`repro.serve.engine.ShallowFallback`) store their ridge
-  weights int8-quantized.  This one *can* change logits (never the
-  argmax on tier-1 data — verified at fit time), so it stays off even
-  under :func:`perf_mode` and must be enabled explicitly.
 
 Models read these flags through the accessor functions at forward time,
 so flipping them affects existing model instances immediately; the dtype
@@ -37,8 +26,6 @@ from repro.tensor.dtype import Dtypeish, get_default_dtype, set_default_dtype
 
 _FUSED_ENABLED = False
 _PROPCACHE_ENABLED = False
-_KERNELS_ENABLED = False
-_QUANTIZED_FALLBACK = False
 
 
 def fused_enabled() -> bool:
@@ -51,22 +38,10 @@ def propagation_cache_enabled() -> bool:
     return _PROPCACHE_ENABLED
 
 
-def kernels_enabled() -> bool:
-    """Whether spmm hot paths should use the int32 tiled kernels."""
-    return _KERNELS_ENABLED
-
-
-def quantized_fallback_enabled() -> bool:
-    """Whether new serving fallback heads quantize their weights to int8."""
-    return _QUANTIZED_FALLBACK
-
-
 def configure(
     dtype: Optional[Dtypeish] = None,
     fused: Optional[bool] = None,
     propagation_cache: Optional[bool] = None,
-    kernels: Optional[bool] = None,
-    quantized_fallback: Optional[bool] = None,
 ) -> dict:
     """Set any subset of the switches; returns the previous settings.
 
@@ -75,13 +50,10 @@ def configure(
     scoping.
     """
     global _FUSED_ENABLED, _PROPCACHE_ENABLED
-    global _KERNELS_ENABLED, _QUANTIZED_FALLBACK
     previous = {
         "dtype": get_default_dtype(),
         "fused": _FUSED_ENABLED,
         "propagation_cache": _PROPCACHE_ENABLED,
-        "kernels": _KERNELS_ENABLED,
-        "quantized_fallback": _QUANTIZED_FALLBACK,
     }
     if dtype is not None:
         set_default_dtype(dtype)
@@ -89,10 +61,6 @@ def configure(
         _FUSED_ENABLED = bool(fused)
     if propagation_cache is not None:
         _PROPCACHE_ENABLED = bool(propagation_cache)
-    if kernels is not None:
-        _KERNELS_ENABLED = bool(kernels)
-    if quantized_fallback is not None:
-        _QUANTIZED_FALLBACK = bool(quantized_fallback)
     return previous
 
 
@@ -102,8 +70,6 @@ def settings() -> dict:
         "dtype": str(get_default_dtype()),
         "fused": _FUSED_ENABLED,
         "propagation_cache": _PROPCACHE_ENABLED,
-        "kernels": _KERNELS_ENABLED,
-        "quantized_fallback": _QUANTIZED_FALLBACK,
     }
 
 
@@ -112,24 +78,15 @@ def perf_mode(
     dtype: Dtypeish = "float32",
     fused: bool = True,
     propagation_cache: bool = True,
-    kernels: bool = True,
-    quantized_fallback: Optional[bool] = None,
 ) -> Iterator[dict]:
     """Enable the full fast path for a block, restoring state on exit.
 
     ``with perf_mode():`` is the one-liner used by the bench harness and
     the equivalence tests; pass ``dtype="float64"`` to measure the
-    cached/fused/tiled paths at reference precision.  The quantized
-    fallback is *not* part of the default fast path (it perturbs logits,
-    see the module docstring); pass ``quantized_fallback=True``
-    explicitly to opt in.
+    cached/fused paths at reference precision.
     """
     previous = configure(
-        dtype=dtype,
-        fused=fused,
-        propagation_cache=propagation_cache,
-        kernels=kernels,
-        quantized_fallback=quantized_fallback,
+        dtype=dtype, fused=fused, propagation_cache=propagation_cache
     )
     try:
         yield settings()

@@ -25,17 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.perf.config import kernels_enabled
 from repro.tensor.sparse import SparseMatrix
 from repro.tensor.tensor import Tensor, _as_tensor, unbroadcast
-
-
-def _forward_spmm(adj: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Forward ``Â @ dense``, through the tiled int32 kernel when the
-    ``kernels`` switch is on (bitwise-identical either way)."""
-    if kernels_enabled() and dense.ndim == 2:
-        return adj.kernel.matmul(dense)
-    return adj.csr @ dense
 
 _ACTIVATIONS = (None, "relu")
 
@@ -57,7 +48,7 @@ def fused_spmm_bias_act(
     """``act(Â h + b)`` as one tape node; bias/relu applied in place."""
     _check_activation(activation)
     h = _as_tensor(h)
-    out = _forward_spmm(adj, h.data)
+    out = adj.csr @ h.data
     if bias is not None:
         out += bias.data
     if activation == "relu":
@@ -97,7 +88,7 @@ def fused_gcn_layer(
     _check_activation(activation)
     x = _as_tensor(x)
     pre = x.data @ weight.data
-    out = _forward_spmm(adj, pre)
+    out = adj.csr @ pre
     if bias is not None:
         out += bias.data
     if activation == "relu":

@@ -32,8 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.perf.config import kernels_enabled
-from repro.tensor.sparse import SparseMatrix
+from repro.tensor.sparse import SparseMatrix, power_chain
 
 
 def array_fingerprint(array: np.ndarray) -> str:
@@ -43,16 +42,6 @@ def array_fingerprint(array: np.ndarray) -> str:
     digest.update(np.asarray(array.shape, dtype=np.int64).tobytes())
     digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
-
-
-def _apply(adj: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """One propagation step ``Â @ dense`` — through the int32 tiled
-    kernel when ``perf_mode(kernels=True)`` is active.  Bitwise-
-    identical either way, so cached entries stay valid across the
-    switch."""
-    if kernels_enabled() and dense.ndim == 2:
-        return adj.kernel.matmul(dense)
-    return adj.csr @ dense
 
 
 class PropagationCache:
@@ -109,41 +98,35 @@ class PropagationCache:
     def propagate_chain(
         self, adj: SparseMatrix, features: np.ndarray, k: int = 1
     ) -> List[np.ndarray]:
-        """The fused multi-power chain ``[Â X, Â² X, …, Â^k X]``, memoized.
+        """The multi-power chain ``[Â X, Â² X, …, Â^k X]``, memoized.
 
-        One pass over the matrix: the walk starts from the deepest cached
-        power and each computed power feeds the next, so a cold call
-        costs ``k`` spmms (not ``k(k+1)/2`` as recomputing every power
-        from ``X`` would) and a warm call costs none.  Every entry in the
-        returned list is a shared read-only cache entry.
+        Walks up from ``Â¹X`` while powers are cached, then extends the
+        chain from the last cached power with :func:`power_chain`, so a
+        cold call costs ``k`` spmms (not ``k(k+1)/2`` as recomputing
+        every power from ``X`` would) and a warm call costs none.  LRU
+        eviction can drop a lower power while a higher one stays cached;
+        the walk then recomputes from the first gap, which yields the
+        same bits.  Every entry in the returned list is a shared
+        read-only cache entry.
         """
         if k < 1:
             raise ValueError(f"propagation power must be >= 1, got {k}")
         features = np.ascontiguousarray(features)
         base_key = (self.scope, adj.fingerprint, array_fingerprint(features))
         with self._lock:
-            # Walk down from k to the deepest cached power.
-            start = k
-            result = None
-            while start > 0:
-                cached = self._get(base_key + (start,))
-                if cached is not None:
-                    result = cached
+            chain: List[np.ndarray] = []
+            while len(chain) < k:
+                cached = self._get(base_key + (len(chain) + 1,))
+                if cached is None:
                     break
-                start -= 1
-            if result is None:
-                result = features
-            for power in range(start + 1, k + 1):
-                result = _apply(adj, result)
-                result.setflags(write=False)
-                self._put(base_key + (power,), result)
-            # The chain below ``start`` is warm by construction (every
-            # cold power was just inserted); collect it without another
-            # walk so hit/miss accounting reflects one logical request.
-            return [
-                self._entries[base_key + (power,)]
-                for power in range(1, k + 1)
-            ]
+                chain.append(cached)
+            if len(chain) < k:
+                start = chain[-1] if chain else features
+                for value in power_chain(adj, start, k - len(chain)):
+                    value.setflags(write=False)
+                    chain.append(value)
+                    self._put(base_key + (len(chain),), value)
+            return chain
 
     def adjacency_power(self, adj: SparseMatrix, k: int) -> SparseMatrix:
         """Return ``Â^k`` as a :class:`SparseMatrix`, memoized.
@@ -210,7 +193,8 @@ class PropagationCache:
         Stops at the first uncached power (a later ``propagate`` call
         recomputes the missing tail from the migrated prefix).  Returns
         the number of powers migrated.  Old entries are left in place
-        for in-flight readers; LRU eviction retires them.
+        for in-flight readers; :meth:`discard_chain` retires them once
+        the mutated graph is published.
         """
         prev = np.ascontiguousarray(new_features)
         n_new, width = prev.shape
@@ -238,6 +222,29 @@ class PropagationCache:
                 migrated += 1
                 power += 1
         return migrated
+
+    def discard_chain(self, adj_fp: str, feat_fp: Optional[str] = None) -> int:
+        """Drop every cached power ``Â^p X`` of operator ``adj_fp``.
+
+        ``feat_fp`` limits the drop to one feature matrix; ``None`` drops
+        the chains of every feature matrix under that operator.  A graph
+        update supersedes the old operator and features, and at 100k
+        nodes each power is tens of MB, so leaving the old chains to LRU
+        eviction holds a chain per recent update.  Readers that already
+        hold an entry keep their array.  Returns the number of entries
+        dropped.
+        """
+        with self._lock:
+            stale = [
+                key for key in self._entries
+                if len(key) == 4
+                and key[1] == adj_fp
+                and key[2] != "power"
+                and (feat_fp is None or key[2] == feat_fp)
+            ]
+            for key in stale:
+                del self._entries[key]
+            return len(stale)
 
     def memoize(self, key: Tuple, compute) -> np.ndarray:
         """Memoize an arbitrary dense product under ``(scope,) + key``.

@@ -85,6 +85,7 @@ from repro.graphs.mutate import (
     normalization_state,
 )
 from repro.graphs.normalize import gcn_norm
+from repro.graphs.shard import operator_adjacency
 from repro.obs import MetricsRegistry, get_logger, get_registry, get_tracer
 from repro.perf import config as perf_config
 from repro.perf import propcache
@@ -104,7 +105,7 @@ from repro.serve.errors import (
     ModelUnavailable,
     ServeError,
 )
-from repro.tensor.sparse import SparseMatrix
+from repro.tensor.sparse import SparseMatrix, power_chain
 from repro.serve.fastpath import MicroBatcher, SingleFlight
 from repro.serve.guard import CircuitBreaker, Deadline
 from repro.serve.validate import PredictRequest
@@ -144,7 +145,6 @@ class ShallowFallback:
         adj=None,
         k_hops: int = 2,
         ridge: float = 1e-3,
-        quantize: Optional[bool] = None,
     ) -> None:
         if k_hops < 1:
             raise ValueError(f"k_hops must be >= 1, got {k_hops}")
@@ -166,25 +166,6 @@ class ShallowFallback:
         solution = np.linalg.solve(gram, design.T @ onehot)
         self.weight = solution[:-1]
         self.bias = solution[-1]
-        # Optional int8 weight quantization (8x smaller head), audited
-        # at fit time: the quantized head only replaces the float one if
-        # its argmax agrees with the float head on EVERY node of this
-        # graph — otherwise the float weights stay and the quantization
-        # is silently dropped.  ``None`` defers to the runtime switch.
-        if quantize is None:
-            quantize = perf_config.quantized_fallback_enabled()
-        self.quantized = None
-        if quantize:
-            from repro.perf.kernels import QuantizedHead
-
-            head = QuantizedHead(self.weight, self.bias)
-            float_argmax = (
-                self._propagated @ self.weight + self.bias
-            ).argmax(axis=1)
-            if np.array_equal(
-                head.logits(self._propagated).argmax(axis=1), float_argmax
-            ):
-                self.quantized = head
         self._version: Optional[str] = None
 
     @property
@@ -198,21 +179,11 @@ class ShallowFallback:
             digest.update(str(self.k_hops).encode())
             digest.update(np.ascontiguousarray(self.weight).tobytes())
             digest.update(np.ascontiguousarray(self.bias).tobytes())
-            if self.quantized is not None:
-                # A quantized head serves (slightly) different logits, so
-                # it must never share memoized entries with the float
-                # head of the same fit.
-                digest.update(b"int8")
-                digest.update(self.quantized.q.tobytes())
-                digest.update(self.quantized.scale.tobytes())
-                digest.update(self.quantized.zero_point.tobytes())
             self._version = "fallback:" + digest.hexdigest()
         return self._version
 
     def full_logits(self) -> np.ndarray:
         """Degraded logits for *every* node (one matmul, memoizable)."""
-        if self.quantized is not None:
-            return self.quantized.logits(self._propagated)
         return self._propagated @ self.weight + self.bias
 
     def logits(
@@ -228,11 +199,7 @@ class ShallowFallback:
             # directly (k spmms) without polluting the shared cache.
             x = self.graph.features.copy()
             x[nodes] = features_override
-            for _ in range(self.k_hops):
-                x = self.adj.csr @ x
-            rows = x[nodes]
-        if self.quantized is not None:
-            return self.quantized.logits(rows)
+            rows = power_chain(self.adj, x, self.k_hops)[-1][nodes]
         return rows @ self.weight + self.bias
 
 
@@ -405,9 +372,7 @@ class InferenceEngine:
         """The store key for the active (model, graph, perf) state.
 
         The perf-mode switches are part of the key because they change
-        the computed bits — except the ``kernels`` switch, which is
-        bitwise-identical by construction and therefore deliberately
-        *not* keyed: entries computed either way are interchangeable.
+        the computed bits.
         """
         if not self.fastpath or self.logit_store is None:
             return None
@@ -503,7 +468,8 @@ class InferenceEngine:
 
         The transactional order is the whole point:
 
-        1. preflight against live state (409 ``graph_conflict`` before
+        1. preflight against live state and the model (409
+           ``graph_conflict`` / ``node_growth_unsupported`` before
            anything is written);
         2. duplicate ``update_id`` → acknowledged no-op (idempotent
            retries are safe at every failure point below);
@@ -550,6 +516,19 @@ class InferenceEngine:
             except MutationConflict as exc:
                 self.registry.counter("serve.graph.conflicts").inc()
                 raise GraphConflict(str(exc), code=exc.code) from exc
+            model = self._active[0]
+            if batch.add_nodes and not getattr(
+                model, "supports_node_growth", True
+            ):
+                # Checked before the WAL: a committed record the model
+                # cannot apply would fence this replica and fail replay.
+                self.registry.counter("serve.graph.conflicts").inc()
+                raise GraphConflict(
+                    f"{type(model).__name__} parameters are bound "
+                    f"to {self.graph.num_nodes} nodes; this model cannot "
+                    "add nodes",
+                    code="node_growth_unsupported",
+                )
             self._update_hook("pre-wal")
             if self._wal is not None:
                 with self.tracer.span("serve.graph_update.wal"):
@@ -584,6 +563,15 @@ class InferenceEngine:
                 **stats,
             }
 
+    @staticmethod
+    def _chain_operators(model, fallback) -> set:
+        """Fingerprints of the operators under which ``model`` and
+        ``fallback`` keep ``Â^k X`` chains in the shared cache."""
+        adjs = [operator_adjacency(getattr(model, "_norm_adj", None))]
+        if fallback is not None:
+            adjs.append(fallback.adj)
+        return {adj.fingerprint for adj in adjs if adj is not None}
+
     def _apply_to_memory(self, batch: UpdateBatch, version: int) -> dict:
         """The in-memory transition shared by live applies and WAL replay.
 
@@ -614,6 +602,7 @@ class InferenceEngine:
             self._norm_state = normalization_state(old_graph.adj)
         prev_norm_state = self._norm_state
         old_fallback = self.fallback
+        old_chain_ops = self._chain_operators(model, old_fallback)
         with self.tracer.span("serve.graph_update.mutate"):
             graph = Graph(
                 adj=old_graph.adj,
@@ -743,8 +732,16 @@ class InferenceEngine:
             self._active = (model, model_version, new_adj_fp)
             self.graph_version = version
             self._update_versions[batch.update_id] = version
-        # Published: memory hygiene for id(old_graph)-keyed caches, so a
-        # long-lived engine does not accumulate one view per update.
+        # Published: memory hygiene for id(old_graph)-keyed caches and
+        # the superseded Â^k X chains, so a long-lived engine does not
+        # accumulate one view and one propagation chain per update.
+        new_chain_ops = self._chain_operators(model, self.fallback)
+        cache = propcache.get_cache()
+        for adj_fp in old_chain_ops:
+            if adj_fp not in new_chain_ops:
+                cache.discard_chain(adj_fp)
+            elif new_feat_fp != old_feat_fp:
+                cache.discard_chain(adj_fp, old_feat_fp)
         if view_cache is not None:
             view_cache.pop(id(old_graph), None)
         attach_cache = getattr(model, "_prop_cache", None)

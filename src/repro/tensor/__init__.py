@@ -9,7 +9,8 @@ It provides:
   ``concat``, ``stack``, ``dropout``, ...) that build the autograd graph.
 - :class:`~repro.tensor.sparse.SparseMatrix` — a constant sparse operand
   (scipy CSR) with an autograd-aware ``spmm`` used for the normalized
-  adjacency :math:`\\hat{A}` in graph convolutions.
+  adjacency :math:`\\hat{A}` in graph convolutions, and ``power_chain``,
+  the tape-free ``[Â X, …, Â^k X]`` recurrence.
 - :mod:`~repro.tensor.functional` — losses and classification helpers.
 - :mod:`~repro.tensor.gradcheck` — finite-difference gradient verification
   used by the test suite.
@@ -18,7 +19,7 @@ It provides:
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
-from repro.tensor.sparse import SparseMatrix, spmm
+from repro.tensor.sparse import SparseMatrix, power_chain, spmm
 from repro.tensor import ops
 from repro.tensor import functional
 from repro.tensor.gradcheck import gradcheck
@@ -34,6 +35,7 @@ __all__ = [
     "Tensor",
     "SparseMatrix",
     "spmm",
+    "power_chain",
     "ops",
     "functional",
     "gradcheck",

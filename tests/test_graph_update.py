@@ -575,6 +575,111 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
+# Model-aware preflight and propagation-cache hygiene
+# ---------------------------------------------------------------------------
+
+def make_lasagne(graph, aggregator):
+    from repro.core import Lasagne
+
+    return Lasagne(
+        graph.num_features, 8, graph.num_classes, num_layers=3,
+        aggregator=aggregator, dropout=0.0, seed=0,
+    )
+
+
+def lasagne_engine(graph, aggregator, wal=None, **kwargs):
+    return InferenceEngine(
+        make_lasagne(graph, aggregator), graph,
+        registry=MetricsRegistry(), wal=wal, **kwargs,
+    )
+
+
+def non_edge(graph):
+    adj = graph.adj
+    for v in range(1, graph.num_nodes):
+        if adj[0, v] == 0:
+            return 0, v
+    raise AssertionError("node 0 is adjacent to every node")
+
+
+def grow_batch(graph, update_id):
+    return UpdateBatch(
+        update_id=update_id,
+        add_edges=[(0, graph.num_nodes)],
+        add_nodes=1,
+        new_features=np.ones((1, graph.num_features)),
+    )
+
+
+def chain_keys(cache):
+    """The ``(adj_fp, feat_fp)`` pairs with a cached ``Â^p X`` power."""
+    return {
+        key[1:3] for key in cache._entries
+        if len(key) == 4 and key[2] != "power"
+    }
+
+
+class TestModelPreflight:
+    @pytest.mark.parametrize("aggregator", ["weighted", "stochastic"])
+    def test_node_bound_lasagne_rejects_growth_before_the_wal(
+        self, graph, tmp_path, aggregator
+    ):
+        wal = GraphMutationLog.in_dir(tmp_path)
+        engine = lasagne_engine(clone_graph(graph), aggregator, wal=wal)
+        n = engine.graph.num_nodes
+        with pytest.raises(GraphConflict) as err:
+            engine.apply_update(grow_batch(engine.graph, "grow-1"))
+        assert err.value.status == 409
+        assert err.value.code == "node_growth_unsupported"
+        assert len(wal) == 0
+        assert "needs_recovery" not in engine.info()
+        assert engine.graph.num_nodes == n and engine.graph_version == 0
+        # The replica is not fenced: an edge update still applies...
+        edge = UpdateBatch(update_id="edge-1", add_edges=[non_edge(engine.graph)])
+        assert engine.apply_update(edge)["applied"] is True
+        assert engine.graph_version == 1
+        # ...and a fresh replica replays the log without error.
+        restarted = lasagne_engine(clone_graph(graph), aggregator)
+        assert restarted.attach_wal(GraphMutationLog.in_dir(tmp_path)) == 1
+
+    def test_maxpool_lasagne_still_grows(self, graph, tmp_path):
+        engine = lasagne_engine(
+            clone_graph(graph), "maxpool",
+            wal=GraphMutationLog.in_dir(tmp_path),
+        )
+        n = engine.graph.num_nodes
+        result = engine.apply_update(grow_batch(engine.graph, "grow-1"))
+        assert result["applied"] is True and result["num_nodes"] == n + 1
+        nodes = np.arange(n + 1)
+        fresh = lasagne_engine(engine.graph, "maxpool", fastpath=False)
+        assert np.array_equal(
+            engine._full_logits(PredictRequest(nodes=nodes)),
+            fresh._full_logits(PredictRequest(nodes=nodes)),
+        )
+
+    @pytest.mark.parametrize("model_name", ["sgc", "lasagne"])
+    def test_updates_drop_the_superseded_chain(self, graph, model_name):
+        cache = propcache.get_cache()
+        cache.clear()
+        g = clone_graph(graph)
+        if model_name == "sgc":
+            engine = make_engine(g, fallback=ShallowFallback(g))
+        else:
+            engine = lasagne_engine(g, "weighted", fallback=ShallowFallback(g))
+        rng = np.random.default_rng(5)
+        for index in range(6):
+            engine.apply_update(random_batch(
+                rng, engine.graph, index, allow_growth=model_name == "sgc"
+            ))
+        current = (
+            engine.fallback.adj.fingerprint,
+            propcache.array_fingerprint(engine.graph.features),
+        )
+        assert chain_keys(cache) == {current}
+        cache.clear()
+
+
+# ---------------------------------------------------------------------------
 # HTTP surface: /graph/update, version fencing, client retry
 # ---------------------------------------------------------------------------
 

@@ -1,23 +1,19 @@
-"""The raw-kernel layer: int32 tiled spmm, fused powers, int8 head.
+"""The multi-power chain, the paths that walk it, and restricted eval.
 
-Every optimized code path in :mod:`repro.perf.kernels` ships with an
-equivalence proof, and these tests pin each one down empirically:
+Every optimized path here ships with an equivalence proof, and these
+tests pin each one down empirically:
 
-- ``compact_csr`` / ``widen_csr`` round-trip without copying data, and
-  tiled int32 spmm is **bitwise** identical to the plain int64 product
-  (scipy's per-row accumulation order is tiling-invariant);
-- ``fused_power_chain`` reproduces every per-power product exactly, and
-  the cached :meth:`PropagationCache.propagate_chain` /
-  ``adjacency_power`` walk-downs stay bitwise against the direct chain;
+- int32- and int64-indexed operands give bitwise-identical products;
+- :func:`repro.tensor.power_chain` reproduces every per-power product
+  exactly, and the cached :meth:`PropagationCache.propagate_chain` /
+  ``adjacency_power`` walks stay bitwise against the direct chain;
 - sharded ``propagate_chain`` matches per-power ``propagate`` and the
-  dense chain, kernels on or off;
+  dense chain;
 - ``SparseMatrix.fingerprint`` cannot collide across index widths even
   for crafted byte-identical buffers (the regression that motivated
   digesting index dtypes);
 - ``_validate_csr`` rejects exotic index dtypes and int32 overflow with
   diagnosable errors;
-- :class:`QuantizedHead` keeps every argmax and honours the
-  ``scale/2`` per-weight error bound;
 - :meth:`LogitStore.put_rows` warms row subsets without promoting a
   partial entry to a whole-matrix hit;
 - the engine serves a union-restricted micro-batch without a full
@@ -34,20 +30,10 @@ from repro.datasets.splits import per_class_split
 from repro.graphs import Graph, build_shard_plan, gcn_norm
 from repro.models import build_model
 from repro.obs import MetricsRegistry
-from repro.perf import LogitStore, perf_mode
-from repro.perf.config import configure, kernels_enabled
-from repro.perf.kernels import (
-    DEFAULT_TILE_ROWS,
-    CSRKernel,
-    QuantizedHead,
-    compact_csr,
-    fused_power_chain,
-    tiled_spmm,
-    widen_csr,
-)
+from repro.perf import LogitStore
 from repro.perf.propcache import PropagationCache
-from repro.serve import InferenceEngine, PredictRequest, ShallowFallback
-from repro.tensor import SparseMatrix, Tensor, spmm
+from repro.serve import InferenceEngine, PredictRequest
+from repro.tensor import SparseMatrix, power_chain
 from repro.tensor.sparse import _validate_csr
 
 pytestmark = pytest.mark.kernels
@@ -73,122 +59,65 @@ def random_graph(n=90, seed=3):
     )
 
 
+def with_index_dtype(csr, dtype):
+    """A copy of ``csr`` sharing its data buffer, indices cast to ``dtype``."""
+    out = sp.csr_matrix(csr.shape, dtype=csr.dtype)
+    out.data = csr.data
+    out.indices = csr.indices.astype(dtype)
+    out.indptr = csr.indptr.astype(dtype)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Index-width plumbing
+# Index widths
 # ---------------------------------------------------------------------------
 
 class TestIndexWidths:
-    def test_compact_downcasts_and_shares_data(self):
-        wide = widen_csr(random_csr())
-        assert wide.indices.dtype == np.int64
-        narrow = compact_csr(wide)
-        assert narrow.indices.dtype == np.int32
-        assert narrow.indptr.dtype == np.int32
-        # The value buffer is shared, not copied.
-        assert narrow.data is wide.data
-        assert (narrow != wide).nnz == 0
-
-    def test_compact_is_idempotent(self):
-        narrow = compact_csr(random_csr())
-        again = compact_csr(narrow)
-        assert again.indices is narrow.indices
-
     def test_int32_vs_int64_spmm_bitwise(self):
         csr = random_csr(seed=1)
         x = np.random.default_rng(2).standard_normal((csr.shape[1], 7))
-        assert np.array_equal(compact_csr(csr) @ x, widen_csr(csr) @ x)
-
-
-class TestTiledSpmm:
-    @pytest.mark.parametrize("tile_rows", [1, 7, 16, 64, DEFAULT_TILE_ROWS])
-    def test_tiled_bitwise_identical(self, tile_rows):
-        csr = compact_csr(random_csr(n=50, seed=4))
-        x = np.random.default_rng(5).standard_normal((50, 6))
-        assert np.array_equal(tiled_spmm(csr, x, tile_rows), csr @ x)
-
-    def test_float32_and_1d_operands(self):
-        csr = compact_csr(random_csr(n=40, seed=6, dtype=np.float32))
-        x2 = np.random.default_rng(7).standard_normal((40, 3)).astype(np.float32)
-        v = np.random.default_rng(8).standard_normal(40).astype(np.float32)
-        assert np.array_equal(tiled_spmm(csr, x2, 8), csr @ x2)
-        assert np.array_equal(tiled_spmm(csr, v, 8), csr @ v)
-
-    def test_rectangular(self):
-        csr = compact_csr(random_csr(n=30, cols=45, seed=9))
-        x = np.random.default_rng(10).standard_normal((45, 4))
-        assert np.array_equal(tiled_spmm(csr, x, 8), csr @ x)
+        narrow = SparseMatrix(with_index_dtype(csr, np.int32))
+        wide = SparseMatrix(with_index_dtype(csr, np.int64))
+        assert narrow.csr.indices.dtype == np.int32
+        assert wide.csr.indices.dtype == np.int64
+        assert np.array_equal(narrow.csr @ x, wide.csr @ x)
 
 
 class TestFusedPowerChain:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_sequential_powers(self, k):
-        csr = compact_csr(random_csr(n=40, seed=11))
+        adj = SparseMatrix(random_csr(n=40, seed=11))
         x = np.random.default_rng(12).standard_normal((40, 5))
-        chain = fused_power_chain(csr, x, k, tile_rows=16)
+        chain = power_chain(adj, x, k)
         assert len(chain) == k
         expected = x
         for power in range(k):
-            expected = csr @ expected
+            expected = adj.csr @ expected
             assert np.array_equal(chain[power], expected)
 
-    def test_kernel_cache_on_sparse_matrix(self):
-        adj = SparseMatrix(random_csr(n=30, seed=13))
-        kernel = adj.kernel
-        assert kernel is adj.kernel  # cached, built once
-        assert isinstance(kernel, CSRKernel)
-        assert kernel.T.T is kernel  # transpose round-trips
-        x = np.random.default_rng(14).standard_normal((30, 4))
-        assert np.array_equal(kernel.matmul(x), adj.csr @ x)
-        chain = kernel.power_chain(x, 3)
-        assert np.array_equal(chain[-1], adj.csr @ (adj.csr @ (adj.csr @ x)))
+    def test_rejects_empty_chain(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            power_chain(SparseMatrix(random_csr(n=5)), np.ones((5, 1)), 0)
 
 
 # ---------------------------------------------------------------------------
-# Kernel routing through spmm / caches / shards stays bitwise
+# The chain through the propagation cache and the shard blocks stays bitwise
 # ---------------------------------------------------------------------------
 
 class TestKernelRouting:
-    def test_spmm_forward_identical_with_kernels(self):
-        adj = SparseMatrix(random_csr(n=35, seed=15))
-        h = Tensor(
-            np.random.default_rng(16).standard_normal((35, 6)),
-            requires_grad=True,
-        )
-        with perf_mode(dtype="float64", fused=False,
-                       propagation_cache=False, kernels=False):
-            reference = spmm(adj, h)
-            reference.sum().backward()
-            ref_grad = h.grad.copy()
-        h.zero_grad()
-        configure(kernels=True)
-        try:
-            assert kernels_enabled()
-            routed = spmm(adj, h)
-            routed.sum().backward()
-        finally:
-            configure(kernels=False)
-        assert np.array_equal(routed.data, reference.data)
-        # The backward stays on the historical CSC path in every mode.
-        assert np.array_equal(h.grad, ref_grad)
-
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_propcache_chain_bitwise(self, kernels):
+    def test_propcache_chain_bitwise(self):
         adj = SparseMatrix(random_csr(n=30, seed=17))
         x = np.random.default_rng(18).standard_normal((30, 4))
         expected, acc = [], x
         for _ in range(3):
             acc = adj.csr @ acc
             expected.append(acc)
-        configure(kernels=kernels)
-        try:
-            cache = PropagationCache()
-            chain = cache.propagate_chain(adj, x, k=3)
-            for got, want in zip(chain, expected):
-                assert np.array_equal(got, want)
-            # propagate() reuses the chain-warmed entries.
-            assert np.array_equal(cache.propagate(adj, x, k=2), expected[1])
-        finally:
-            configure(kernels=False)
+        cache = PropagationCache()
+        chain = cache.propagate_chain(adj, x, k=3)
+        for got, want in zip(chain, expected):
+            assert np.array_equal(got, want)
+        # propagate() reuses the chain-warmed entries.
+        assert np.array_equal(cache.propagate(adj, x, k=2), expected[1])
 
     def test_adjacency_power_walkdown_bitwise(self):
         adj = SparseMatrix(random_csr(n=25, seed=19))
@@ -203,8 +132,7 @@ class TestKernelRouting:
         direct4 = adj.power(4)
         assert np.array_equal(rewalked.csr.data, direct4.csr.data)
 
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_shard_chain_bitwise(self, kernels):
+    def test_shard_chain_bitwise(self):
         g = random_graph()
         adj = gcn_norm(g.adj)
         plan = build_shard_plan(g, adj=adj, num_shards=3, max_power=3)
@@ -212,16 +140,10 @@ class TestKernelRouting:
         for _ in range(3):
             dense = adj.csr @ dense
             expected.append(dense)
-        configure(kernels=kernels)
-        try:
-            chain = plan.propagate_chain(g.features, 3)
-            for got, want in zip(chain, expected):
-                assert np.array_equal(got, want)
-            assert np.array_equal(
-                plan.propagate(g.features, 2), expected[1]
-            )
-        finally:
-            configure(kernels=False)
+        chain = plan.propagate_chain(g.features, 3)
+        for got, want in zip(chain, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(plan.propagate(g.features, 2), expected[1])
 
 
 # ---------------------------------------------------------------------------
@@ -276,53 +198,6 @@ class TestFingerprintAndValidation:
         csr.indptr = np.array([0, 1], dtype=np.int32)
         with pytest.raises(ValueError, match="unaddressable"):
             _validate_csr(csr)
-
-
-# ---------------------------------------------------------------------------
-# Quantized fallback head
-# ---------------------------------------------------------------------------
-
-class TestQuantizedHead:
-    def _head(self, seed=21, classes=5, features=12):
-        rng = np.random.default_rng(seed)
-        weight = rng.standard_normal((features, classes))
-        bias = rng.standard_normal(classes)
-        return weight, bias, QuantizedHead(weight, bias)
-
-    def test_weight_error_bound(self):
-        weight, _, head = self._head()
-        # Affine int8 error is at most scale/2 per weight, column-wise.
-        err = np.abs(head.dequantized - weight)
-        assert (err <= head.scale / 2 + 1e-12).all()
-        assert head.max_weight_error(weight) <= float(head.scale.max()) / 2 + 1e-12
-
-    def test_logits_close_and_smaller(self):
-        weight, bias, head = self._head(seed=22)
-        rows = np.random.default_rng(23).standard_normal((40, weight.shape[0]))
-        exact = rows @ weight + bias
-        approx = head.logits(rows)
-        bound = np.abs(rows).sum(axis=1, keepdims=True) * head.scale / 2
-        assert (np.abs(approx - exact) <= bound + 1e-9).all()
-        assert head.nbytes < weight.nbytes + bias.nbytes
-
-    def test_constant_column_guard(self):
-        weight = np.zeros((6, 3))
-        weight[:, 1] = 4.2  # zero-span column
-        head = QuantizedHead(weight, np.zeros(3))
-        assert np.allclose(head.dequantized[:, 1], 4.2)
-
-    def test_fallback_keeps_argmax_or_disables(self):
-        g = random_graph(seed=24)
-        quantized = ShallowFallback(g, quantize=True)
-        float_fb = ShallowFallback(g, quantize=False)
-        assert float_fb.quantized is None
-        full_float = float_fb.full_logits()
-        full_q = quantized.full_logits()
-        assert np.array_equal(
-            full_q.argmax(axis=1), full_float.argmax(axis=1)
-        )
-        if quantized.quantized is not None:
-            assert quantized.version != float_fb.version
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,6 @@ class TestDtypePolicy:
                 "dtype": "float32",
                 "fused": True,
                 "propagation_cache": True,
-                "kernels": False,
-                "quantized_fallback": False,
             }
         finally:
             configure(**previous)
@@ -173,6 +171,36 @@ class TestPropagationCache:
         cache.propagate(adj, x, k=2)  # only one extra spmm, k=1 is a hit
         assert cache.hits == 1
         assert len(cache) == 2
+
+    def test_chain_survives_evicting_a_lower_power(self):
+        # Regression: the walk assumed every power below the deepest
+        # cached one was cached, and raised KeyError once LRU evicted
+        # Â¹X while Â²X stayed warm.
+        adj = _random_adj()
+        x = np.random.default_rng(0).random((12, 5))
+        cache = PropagationCache(capacity=2)
+        cache.propagate_chain(adj, x, k=2)  # caches Â¹X, Â²X
+        cache.propagate(adj, x, k=2)  # Â²X is now the most recent
+        cache.propagate(adj, x + 1.0, k=1)  # evicts the LRU entry, Â¹X
+        chain = cache.propagate_chain(adj, x, k=2)
+        assert len(chain) == 2
+        assert np.array_equal(chain[0], adj.csr @ x)
+        assert np.array_equal(chain[1], adj.csr @ (adj.csr @ x))
+
+    def test_discard_chain(self):
+        a, b = _random_adj(seed=1), _random_adj(seed=2)
+        x = np.random.default_rng(0).random((12, 5))
+        cache = PropagationCache()
+        cache.propagate_chain(a, x, k=2)
+        cache.propagate_chain(a, x + 1.0, k=1)
+        cache.propagate_chain(b, x, k=2)
+        cache.adjacency_power(a, 2)  # caches Â¹ and Â²
+        assert len(cache) == 7
+        assert cache.discard_chain(a.fingerprint, array_fingerprint(x)) == 2
+        assert cache.discard_chain(a.fingerprint) == 1  # the x + 1 chain
+        # b's chain and a's adjacency powers stay.
+        assert len(cache) == 4
+        assert cache.propagate(b, x, k=2) is cache.propagate(b, x, k=2)
 
     def test_results_are_read_only(self):
         adj = _random_adj()

@@ -86,21 +86,6 @@ class TestSpmmGradients:
             [x, w, b],
         )
 
-    def test_tiled_spmm_op(self, dtype_ctx):
-        from repro.perf.kernels import tiled_spmm_op
-
-        adj = _adj()
-        h = _tensor((N, D), seed=11)
-        gradcheck(lambda: (tiled_spmm_op(adj, h) ** 2).sum(), [h])
-
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_fused_power_spmm(self, dtype_ctx, k):
-        from repro.perf.kernels import fused_power_spmm
-
-        adj = _adj()
-        h = _tensor((N, D), seed=12)
-        gradcheck(lambda: (fused_power_spmm(adj, h, k) ** 2).sum(), [h])
-
 
 class TestAggregatorGradients:
     def _hidden(self, count, seed=10):
